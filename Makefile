@@ -25,13 +25,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Refresh the committed hot-path baseline (run on a quiet machine).
+# Refresh the committed hot-path baseline (run on a quiet machine). It is
+# recorded at GOMAXPROCS=1, and -compare re-runs at the recorded value.
 bench-json:
-	$(GO) run ./cmd/medsen-bench -json BENCH_10.json
+	GOMAXPROCS=1 $(GO) run ./cmd/medsen-bench -json BENCH_12.json
 
 # Re-measure the hot paths and fail on a regression vs. the baseline.
 bench-compare:
-	$(GO) run ./cmd/medsen-bench -compare BENCH_10.json
+	$(GO) run ./cmd/medsen-bench -compare BENCH_12.json
 
 # Allocation gate: the blocking flavour of bench-compare. Steady-state
 # allocs/op is deterministic, so it blocks at 25% — enough headroom for
@@ -42,7 +43,7 @@ bench-compare:
 # and ns/op is machine-dependent, so both are effectively advisory here
 # (bench-compare is the full check).
 bench-gate:
-	$(GO) run ./cmd/medsen-bench -compare BENCH_10.json -bench-time 200ms \
+	$(GO) run ./cmd/medsen-bench -compare BENCH_12.json -bench-time 200ms \
 		-threshold-allocs 25 -threshold-bytes 400 -threshold-ns 1000000
 
 # Fleet smoke: 100 simulated devices against a self-hosted service; fails on

@@ -5,7 +5,7 @@
 //
 // It doubles as the performance-regression harness: -json runs the
 // hot-path benchmark suite (internal/benchharness) and writes the
-// machine-readable BENCH_5.json format, and -compare gates a run against a
+// machine-readable BENCH_12.json format, and -compare gates a run against a
 // committed baseline, exiting non-zero on any regression beyond the
 // thresholds.
 //
@@ -16,8 +16,8 @@
 //	medsen-bench -fig 12         # one figure
 //	medsen-bench -exp e2e        # one in-text experiment
 //	medsen-bench -exp ablations  # the ablation suite
-//	medsen-bench -json BENCH_5.json            # record a perf baseline
-//	medsen-bench -compare BENCH_5.json         # rerun and gate against it
+//	medsen-bench -json BENCH_12.json           # record a perf baseline
+//	medsen-bench -compare BENCH_12.json        # rerun and gate against it
 //	medsen-bench -compare BASE -current CUR    # pure file-vs-file gate
 package main
 
@@ -93,13 +93,28 @@ type harnessConfig struct {
 // benchmarks), optionally records it, and optionally gates it against a
 // baseline. A regression is an error so the process exits non-zero — the CI
 // contract.
+//
+// A compare reads the baseline first and runs the harness at the baseline's
+// recorded GOMAXPROCS, so a baseline recorded on one core gates a run on a
+// many-core machine like for like.
 func runHarness(cfg harnessConfig, stdout io.Writer) error {
+	var baseline benchharness.Suite
+	if cfg.compareFile != "" {
+		var err error
+		if baseline, err = readSuite(cfg.compareFile); err != nil {
+			return err
+		}
+	}
 	var current benchharness.Suite
 	var err error
 	if cfg.currentFile != "" {
 		current, err = readSuite(cfg.currentFile)
 	} else {
-		current, err = benchharness.Run(benchharness.Options{Filter: cfg.filter, BenchTime: cfg.benchTime})
+		current, err = benchharness.Run(benchharness.Options{
+			Filter:     cfg.filter,
+			BenchTime:  cfg.benchTime,
+			GOMAXPROCS: baseline.GOMAXPROCS,
+		})
 	}
 	if err != nil {
 		return err
@@ -132,10 +147,6 @@ func runHarness(cfg harnessConfig, stdout io.Writer) error {
 			current.FormatTable(stdout)
 		}
 		return nil
-	}
-	baseline, err := readSuite(cfg.compareFile)
-	if err != nil {
-		return err
 	}
 	regs := benchharness.Compare(baseline, current, cfg.thresholds)
 	current.FormatTable(stdout)

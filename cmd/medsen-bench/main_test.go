@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"medsen/internal/benchharness"
 	"medsen/internal/experiments"
@@ -125,5 +127,37 @@ func TestRunHarnessMissingBaseline(t *testing.T) {
 	}, &out)
 	if err == nil {
 		t.Fatal("missing baseline must fail")
+	}
+}
+
+// A compare runs the harness at the baseline's recorded GOMAXPROCS, so a
+// baseline recorded on one core gates a many-core machine like for like.
+func TestRunHarnessCompareUsesBaselineGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	want := runtime.GOMAXPROCS(0) + 1
+	base := benchharness.Suite{
+		GoVersion: "go1.22", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: want,
+		Results: []benchharness.Result{
+			{Name: "Electrode", Iterations: 10, NsPerOp: 1e12, AllocsPerOp: 1000, BytesPerOp: 1 << 30},
+		},
+	}
+	basePath := writeSuite(t, dir, "base.json", base)
+	outPath := filepath.Join(dir, "cur.json")
+	var out bytes.Buffer
+	if err := runHarness(harnessConfig{
+		jsonOut:     outPath,
+		compareFile: basePath,
+		filter:      "Electrode",
+		benchTime:   10 * time.Millisecond,
+		thresholds:  benchharness.DefaultThresholds(),
+	}, &out); err != nil {
+		t.Fatalf("runHarness: %v\n%s", err, out.String())
+	}
+	cur, err := readSuite(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.GOMAXPROCS != want {
+		t.Errorf("harness ran at GOMAXPROCS %d, want the baseline's %d", cur.GOMAXPROCS, want)
 	}
 }

@@ -2,11 +2,11 @@
 // programmatically (via testing.Benchmark) and records machine-readable
 // results — ns/op, allocs/op, B/op per benchmark — so performance
 // regressions are caught by comparing a fresh run against a committed
-// baseline (BENCH_5.json) instead of eyeballing `go test -bench` output.
+// baseline (BENCH_12.json) instead of eyeballing `go test -bench` output.
 //
 // The harness is what `medsen-bench -json` and `medsen-bench -compare`
-// drive; CI runs the compare as a non-blocking step so the trajectory is
-// visible on every PR without wall-clock noise failing unrelated builds.
+// drive; CI gates allocs/op on it (blocking) and runs the full compare as a
+// non-blocking step so wall-clock noise never fails unrelated builds.
 package benchharness
 
 import (
@@ -48,6 +48,11 @@ type Options struct {
 	// testing package's 1 s default). Short times make CI smoke runs cheap;
 	// baselines should use the default.
 	BenchTime time.Duration
+	// GOMAXPROCS, when positive, runs the suite at that setting (restoring
+	// the previous one afterwards). Compares pass the baseline's recorded
+	// value: a workload that fans out over GOMAXPROCS goroutines allocates
+	// per goroutine, so its allocs/op is only comparable at equal settings.
+	GOMAXPROCS int
 }
 
 // Run executes every registered benchmark matching opts and returns the
@@ -59,6 +64,9 @@ func Run(opts Options) (Suite, error) {
 			return Suite{}, err
 		}
 		defer restore()
+	}
+	if opts.GOMAXPROCS > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(opts.GOMAXPROCS))
 	}
 	suite := Suite{
 		GoVersion:  runtime.Version(),
@@ -104,7 +112,7 @@ func setBenchTime(d time.Duration) (restore func(), err error) {
 	return func() { _ = f.Value.Set(old) }, nil
 }
 
-// WriteJSON emits the suite as indented JSON (the BENCH_5.json format).
+// WriteJSON emits the suite as indented JSON (the BENCH_12.json format).
 func (s Suite) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

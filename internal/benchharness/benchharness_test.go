@@ -2,6 +2,7 @@ package benchharness
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -113,5 +114,37 @@ func TestRunDetectPeaksQuick(t *testing.T) {
 	s.FormatTable(&table)
 	if !strings.Contains(table.String(), "DetectPeaks") {
 		t.Fatalf("table output %q lacks benchmark", table.String())
+	}
+}
+
+func TestRunAtRequestedGOMAXPROCS(t *testing.T) {
+	before := runtime.GOMAXPROCS(0)
+	want := before + 1
+	s, err := Run(Options{Filter: "Electrode", BenchTime: 10 * time.Millisecond, GOMAXPROCS: want})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if s.GOMAXPROCS != want {
+		t.Errorf("suite recorded GOMAXPROCS %d, want %d", s.GOMAXPROCS, want)
+	}
+	if got := runtime.GOMAXPROCS(0); got != before {
+		t.Errorf("GOMAXPROCS left at %d, want it restored to %d", got, before)
+	}
+}
+
+// The render workload runs the real noise path. A render allocates its
+// output (carrier list, trace headers, one sample backing) and draws its
+// scratch from a pool, so a per-carrier or per-sample allocation would blow
+// far past the bound.
+func TestRunLockinRenderQuick(t *testing.T) {
+	s, err := Run(Options{Filter: "LockinRender", BenchTime: 50 * time.Millisecond, GOMAXPROCS: 1})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(s.Results) != 1 || s.Results[0].Iterations <= 0 {
+		t.Fatalf("unexpected results: %+v", s.Results)
+	}
+	if r := s.Results[0]; r.AllocsPerOp > 8 {
+		t.Errorf("LockinRender allocs/op = %d, want <= 8", r.AllocsPerOp)
 	}
 }

@@ -41,6 +41,7 @@ func Benchmarks() []Benchmark {
 		{Name: "DiagnosticLocal", F: benchDiagnosticLocal},
 		{Name: "Microfluidic", F: benchMicrofluidic},
 		{Name: "Electrode", F: benchElectrode},
+		{Name: "LockinRender", F: benchLockinRender},
 		{Name: "ClassifyDiagnose", F: benchClassifyDiagnose},
 		{Name: "CloudBatchSubmit", F: benchCloudBatchSubmit},
 	}
@@ -215,6 +216,50 @@ func benchElectrode(b *testing.B) {
 		}
 		if total == 0 {
 			b.Fatal("no pulses")
+		}
+	}
+}
+
+// benchLockinRender isolates the lock-in render: a 30 s, 8-carrier capture
+// with front-end noise on, over the pulses of a fixed blood-cell transit
+// stream. A fresh DRBG per iteration keeps the noise seed (and so the work)
+// identical every time.
+func benchLockinRender(b *testing.B) {
+	const durationS = 30
+	transits, err := microfluidic.GenerateTransits(microfluidic.GenerateConfig{
+		Channel: microfluidic.DefaultChannel(),
+		Sample: microfluidic.NewSample(10, map[microfluidic.Type]float64{
+			microfluidic.TypeBloodCell: 150,
+		}),
+		DurationS: durationS,
+		Loss:      microfluidic.DefaultLossModel(),
+	}, drbg.NewFromSeed(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	arr := electrode.MustArray(9)
+	active := make([]bool, 9)
+	active[0] = true
+	carriers := lockin.DefaultCarriersHz()
+	pulses := make([][]electrode.Pulse, len(carriers))
+	for ci, f := range carriers {
+		for _, tr := range transits {
+			pulses[ci] = append(pulses[ci], arr.PulsesForTransit(tr, f, active, nil, 1)...)
+		}
+	}
+	cfg := lockin.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rng := drbg.NewFromSeed(7)
+		b.StartTimer()
+		acq, err := lockin.RenderWorkers(carriers, pulses, durationS, cfg, rng, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(acq.Traces) != len(carriers) {
+			b.Fatalf("rendered %d traces, want %d", len(acq.Traces), len(carriers))
 		}
 	}
 }

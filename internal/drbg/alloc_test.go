@@ -2,8 +2,8 @@ package drbg
 
 import "testing"
 
-// The generator is the innermost loop of every simulated acquisition
-// (~10⁵ draws per run), so its steady state must not allocate at all.
+// The generator is the innermost loop of transit generation and the key
+// schedule, so its steady state must not allocate at all.
 // These pins are the drbg-side counterpart of the detrend/peak alloc pins
 // in internal/sigproc.
 

@@ -45,8 +45,9 @@ var ErrReseedRequired = errors.New("drbg: reseed required")
 //
 // The implementation replays exactly the HMAC state transitions of the
 // textbook construction (hmac.New per call) but without its per-call cost:
-// the generator feeds ~10⁵ draws per simulated acquisition, so the hot path
-// keeps two persistent SHA-256 states and snapshots of the key's ipad/opad
+// the generator feeds every particle transit and key-schedule epoch of a
+// simulated acquisition (front-end noise takes a single 32-byte key draw;
+// see internal/lockin), so the hot path keeps two persistent SHA-256 states and snapshots of the key's ipad/opad
 // absorption, making a draw allocation-free (pinned by TestGenerateAllocFree)
 // while leaving the output stream bit-identical (pinned by the golden tests).
 type DRBG struct {

@@ -452,30 +452,56 @@ func TestNoiseRobustness(t *testing.T) {
 	}
 }
 
+// TestRepeatability asserts the §VI-B claim over a fixed pool of seeds
+// rather than one stream: bigger samples give tighter counts on average and
+// on a clear majority of seeds. With four runs per row a single seed's CV
+// is itself noisy, so one unlucky draw may invert its pair; the pooled
+// statement is what the claim is about. The seed pool and the thresholds
+// were fixed before the test was first run.
 func TestRepeatability(t *testing.T) {
-	r, err := Repeatability(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) < 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for i, row := range r.Rows {
-		if row.MeanCount <= 0 {
-			t.Fatalf("row %d: no counts", i)
+	const (
+		seeds      = 16
+		minShrinks = 12
+	)
+	var firstSum, lastSum float64
+	shrinks := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		r, err := Repeatability(Options{Seed: seed, Quick: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The measured CV should sit near the Poisson floor — not more
-		// than ~3× above it (coincidence and detection add a little).
-		if row.CV > 3*row.PredictedCV+0.02 {
-			t.Errorf("row %d: CV %.3f far above Poisson floor %.3f", i, row.CV, row.PredictedCV)
+		if len(r.Rows) < 2 {
+			t.Fatalf("seed %d: rows = %d", seed, len(r.Rows))
+		}
+		for i, row := range r.Rows {
+			if row.MeanCount <= 0 {
+				t.Fatalf("seed %d row %d: no counts", seed, i)
+			}
+			// The measured CV should sit near the Poisson floor — not
+			// more than ~3× above it (coincidence and detection add a
+			// little).
+			if row.CV > 3*row.PredictedCV+0.02 {
+				t.Errorf("seed %d row %d: CV %.3f far above Poisson floor %.3f",
+					seed, i, row.CV, row.PredictedCV)
+			}
+		}
+		first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
+		if last.MeanCount <= first.MeanCount {
+			t.Fatalf("seed %d: sweep did not scale counts: %v", seed, r.Rows)
+		}
+		firstSum += first.CV
+		lastSum += last.CV
+		if last.CV < first.CV {
+			shrinks++
 		}
 	}
+	firstMean, lastMean := firstSum/seeds, lastSum/seeds
+	t.Logf("mean CV %.3f -> %.3f; shrinks on %d/%d seeds", firstMean, lastMean, shrinks, seeds)
 	// Bigger samples → tighter counts (the §VI-B claim).
-	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-	if last.MeanCount <= first.MeanCount {
-		t.Fatalf("sweep did not scale counts: %v", r.Rows)
+	if lastMean >= firstMean {
+		t.Errorf("mean CV should shrink with sample size: %.3f -> %.3f", firstMean, lastMean)
 	}
-	if last.CV >= first.CV {
-		t.Errorf("CV should shrink with sample size: %.3f -> %.3f", first.CV, last.CV)
+	if shrinks < minShrinks {
+		t.Errorf("CV shrank on %d/%d seeds, want >= %d", shrinks, seeds, minShrinks)
 	}
 }

@@ -8,11 +8,16 @@
 // normalized voltage traces with the baseline drift (fluid concentration and
 // temperature, §VI-C) and front-end noise a real acquisition exhibits, so
 // the cloud pipeline must genuinely detrend and threshold to recover peaks.
+// The noise comes from ChaCha8 streams keyed by a single DRBG draw per
+// render: it stands in for analog physics, so it needs Gaussian statistics
+// and replayability, not the DRBG's secrecy.
 package lockin
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 
@@ -129,11 +134,21 @@ func (a Acquisition) Duration() float64 {
 }
 
 // renderScratch holds the per-render working memory that never escapes:
-// the shared drift baseline and the pre-drawn noise arena. Pooled contents
-// are fully overwritten before every use (DESIGN.md §6 rule 1).
+// the shared drift baseline, the render's noise seed and one noise stream
+// per carrier. Pooled contents are fully overwritten (the streams
+// re-seeded) before every use (DESIGN.md §6 rule 1).
 type renderScratch struct {
 	baseline []float64
-	noise    []float64
+	seed     [32]byte
+	noise    []*noiseStream
+}
+
+// noiseStream is one carrier's front-end noise source: a ChaCha8 stream
+// and the rand.Rand that draws normals from it. It is held by pointer
+// because rng points into src.
+type noiseStream struct {
+	src rand.ChaCha8
+	rng *rand.Rand
 }
 
 var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
@@ -149,7 +164,7 @@ func growFloats(s []float64, n int) []float64 {
 
 // Render converts per-carrier pulse event lists into a sampled multi-carrier
 // acquisition. pulsesByCarrier[i] holds the voltage-drop events for
-// carriersHz[i]; durationS is the capture window. rng supplies front-end
+// carriersHz[i]; durationS is the capture window. rng seeds the front-end
 // noise and may be nil for a noiseless render (unit tests, ground truth).
 func Render(
 	carriersHz []float64,
@@ -163,11 +178,16 @@ func Render(
 
 // RenderWorkers is Render with explicit carrier-level parallelism: workers
 // caps the number of goroutines synthesizing carriers (0 = GOMAXPROCS,
-// 1 = serial). Every worker count produces bitwise-identical traces: the
-// front-end noise — the only DRBG consumer — is drawn serially into an
-// arena in carrier order first, and each carrier's synthesis then runs
-// independently over disjoint output slices with the exact arithmetic of
-// the serial path.
+// 1 = serial). Every worker count produces bitwise-identical traces: each
+// carrier's synthesis runs independently over a disjoint output slice with
+// the exact arithmetic of the serial path, and draws its front-end noise
+// from its own stream, keyed by the render's seed and the carrier index.
+//
+// The noise models the analog front end, which is physics rather than a
+// secret, so it does not come from the DRBG sample by sample: a noisy
+// render takes exactly one 32-byte Generate from rng and keys every
+// carrier's ChaCha8 stream from it. A nil rng or zero NoiseSigma consumes
+// nothing.
 func RenderWorkers(
 	carriersHz []float64,
 	pulsesByCarrier [][]electrode.Pulse,
@@ -217,16 +237,19 @@ func RenderWorkers(
 		baseline[i] = cfg.Drift.baselineAt(float64(i) / cfg.SampleRateHz)
 	}
 
-	// Front-end noise is the only DRBG consumer in the render: draw it
-	// serially, in carrier order, so the stream consumption (and thus the
-	// output) is identical for every worker count.
+	// Front-end noise: one DRBG draw is the render's noise seed. Carrier ci
+	// keys its stream with the seed's first word XORed with ci, so each
+	// carrier's noise is independent of the others and of which worker
+	// renders it.
 	withNoise := rng != nil && cfg.NoiseSigma > 0
-	var noise []float64
 	if withNoise {
-		scratch.noise = growFloats(scratch.noise, nc*n)
-		noise = scratch.noise
-		for i := range noise {
-			noise[i] = rng.NormFloat64()
+		if err := rng.Generate(scratch.seed[:]); err != nil {
+			return Acquisition{}, fmt.Errorf("lockin: seeding noise stream: %w", err)
+		}
+		for len(scratch.noise) < nc {
+			ns := new(noiseStream)
+			ns.rng = rand.New(&ns.src)
+			scratch.noise = append(scratch.noise, ns)
 		}
 	}
 
@@ -252,11 +275,14 @@ func RenderWorkers(
 				samples[i] -= p.Amplitude * math.Exp(-0.5*d*d) * samples[i]
 			}
 		}
-		// Front-end noise after demodulation, from the pre-drawn arena.
+		// Front-end noise after demodulation.
 		if withNoise {
-			cn := noise[ci*n : (ci+1)*n]
+			key := scratch.seed
+			binary.LittleEndian.PutUint64(key[:8], binary.LittleEndian.Uint64(key[:8])^uint64(ci))
+			ns := scratch.noise[ci]
+			ns.src.Seed(key)
 			for i := range samples {
-				samples[i] += cfg.NoiseSigma * cn[i]
+				samples[i] += cfg.NoiseSigma * ns.rng.NormFloat64()
 			}
 		}
 		tr := sigproc.Trace{Rate: cfg.SampleRateHz, Samples: samples}

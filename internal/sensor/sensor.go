@@ -122,7 +122,7 @@ type AcquireConfig struct {
 	PerCell *cipher.PerCellSchedule
 	// Workers caps the parallelism of the per-carrier render. 0 uses
 	// GOMAXPROCS, 1 forces serial; every setting produces bitwise-
-	// identical traces (noise is drawn serially regardless).
+	// identical traces (each carrier has its own noise stream).
 	Workers int
 }
 
@@ -139,6 +139,11 @@ type Result struct {
 // Acquire runs one acquisition: particles are generated by the channel
 // model, expanded into voltage drops under the epoch key in force at their
 // passage time, and rendered into the sampled multi-carrier ciphertext.
+//
+// rng drives the particle transits draw by draw; the render then takes one
+// 32-byte draw from it to key the front-end noise streams (lockin.Render),
+// so the noise, which is physics rather than a secret, costs no further
+// DRBG output.
 func (s *Sensor) Acquire(cfg AcquireConfig, rng *drbg.DRBG) (Result, error) {
 	if rng == nil {
 		return Result{}, errors.New("sensor: nil rng")
