@@ -137,21 +137,19 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if length > MaxPayload {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrOversized, length)
 	}
+	// The payload is read once and returned in place, capped so an append
+	// by the caller cannot overwrite the CRC bytes.
 	rest := make([]byte, int(length)+crcLen)
 	if _, err := io.ReadFull(r, rest); err != nil {
 		return Frame{}, fmt.Errorf("accessory: reading payload: %w", err)
 	}
-	payload := rest[:length]
-	wantCRC := binary.BigEndian.Uint32(rest[length:])
-	crcInput := make([]byte, 0, 1+4+len(payload))
-	crcInput = append(crcInput, header[2:7]...)
-	crcInput = append(crcInput, payload...)
-	if crc32.ChecksumIEEE(crcInput) != wantCRC {
+	crc := crc32.Update(crc32.ChecksumIEEE(header[2:7]), crc32.IEEETable, rest[:length])
+	if crc != binary.BigEndian.Uint32(rest[length:]) {
 		return Frame{}, ErrBadCRC
 	}
 	out := Frame{Type: FrameType(header[2])}
 	if length > 0 {
-		out.Payload = append([]byte(nil), payload...)
+		out.Payload = rest[:length:length]
 	}
 	return out, nil
 }
@@ -273,7 +271,11 @@ func (c *Conn) ReceiveData(onProgress func(string)) ([]byte, error) {
 		}
 		switch f.Type {
 		case FrameData:
-			out = append(out, f.Payload...)
+			if out == nil {
+				out = f.Payload // adopt the frame's buffer: no copy for one frame
+			} else {
+				out = append(out, f.Payload...)
+			}
 			if err := WriteFrame(c.rw, Frame{Type: FrameAck}); err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -236,5 +237,42 @@ func TestFrameTypeStrings(t *testing.T) {
 		if got := ft.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", ft, got, want)
 		}
+	}
+}
+
+// Receiving a capture-sized upload allocates the payload once: ReadFrame
+// hands its read buffer to the caller and ReceiveData adopts the first data
+// frame's slice, so the bytes allocated stay within 1.1× the payload.
+func TestReceiveDataAllocatesPayloadOnce(t *testing.T) {
+	const size = 830 << 10
+	payload := bytes.Repeat([]byte("0.99871,"), size/8)
+	var wire bytes.Buffer
+	if err := WriteFrame(&wire, Frame{Type: FrameData, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(&wire, Frame{Type: FrameEnd}); err != nil {
+		t.Fatal(err)
+	}
+	stream := wire.Bytes()
+
+	const runs = 5
+	var got []byte
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		c := &Conn{rw: fuzzSink{bytes.NewReader(stream)}}
+		var err error
+		if got, err = c.ReceiveData(nil); err != nil {
+			t.Fatalf("ReceiveData: %v", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if !bytes.Equal(got, payload) {
+		t.Fatal("received payload differs from the one sent")
+	}
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 1.1 * float64(len(payload)); perRun > limit {
+		t.Fatalf("receiving a %d-byte frame allocated %.0f bytes, want <= %.0f", len(payload), perRun, limit)
 	}
 }

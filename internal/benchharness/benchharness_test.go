@@ -148,3 +148,16 @@ func TestRunLockinRenderQuick(t *testing.T) {
 		t.Errorf("LockinRender allocs/op = %d, want <= 8", r.AllocsPerOp)
 	}
 }
+
+// The codec workloads run the upload path both ways on a real capture.
+func TestRunCodecQuick(t *testing.T) {
+	for _, name := range []string{"CompressAcquisition", "DecompressAcquisition"} {
+		s, err := Run(Options{Filter: name, BenchTime: 50 * time.Millisecond, GOMAXPROCS: 1})
+		if err != nil {
+			t.Fatalf("Run %s: %v", name, err)
+		}
+		if len(s.Results) != 1 || s.Results[0].Name != name || s.Results[0].Iterations <= 0 {
+			t.Fatalf("unexpected results for %s: %+v", name, s.Results)
+		}
+	}
+}

@@ -42,6 +42,8 @@ func Benchmarks() []Benchmark {
 		{Name: "Microfluidic", F: benchMicrofluidic},
 		{Name: "Electrode", F: benchElectrode},
 		{Name: "LockinRender", F: benchLockinRender},
+		{Name: "CompressAcquisition", F: benchCompressAcquisition},
+		{Name: "DecompressAcquisition", F: benchDecompressAcquisition},
 		{Name: "ClassifyDiagnose", F: benchClassifyDiagnose},
 		{Name: "CloudBatchSubmit", F: benchCloudBatchSubmit},
 	}
@@ -51,18 +53,26 @@ func Benchmarks() []Benchmark {
 // cloud-pipeline workloads share (the same capture bench_test.go uses), so
 // its multi-second setup cost is paid once per process, outside every
 // measured region.
-var acquisition300 = sync.OnceValues(func() (lockin.Acquisition, error) {
-	s := sensor.NewDefault()
-	s.Loss = microfluidic.LossModel{Disabled: true}
-	sample := microfluidic.NewSample(10, map[microfluidic.Type]float64{
-		microfluidic.TypeBloodCell: 300,
+var acquisition300 = deterministicCapture(300)
+
+// acquisition30 is the 30 s capture a diagnostic run uploads, for the codec
+// workloads.
+var acquisition30 = deterministicCapture(30)
+
+func deterministicCapture(durationS float64) func() (lockin.Acquisition, error) {
+	return sync.OnceValues(func() (lockin.Acquisition, error) {
+		s := sensor.NewDefault()
+		s.Loss = microfluidic.LossModel{Disabled: true}
+		sample := microfluidic.NewSample(10, map[microfluidic.Type]float64{
+			microfluidic.TypeBloodCell: 300,
+		})
+		res, err := s.Acquire(sensor.AcquireConfig{Sample: sample, DurationS: durationS}, drbg.NewFromSeed(2016))
+		if err != nil {
+			return lockin.Acquisition{}, err
+		}
+		return res.Acquisition, nil
 	})
-	res, err := s.Acquire(sensor.AcquireConfig{Sample: sample, DurationS: 300}, drbg.NewFromSeed(2016))
-	if err != nil {
-		return lockin.Acquisition{}, err
-	}
-	return res.Acquisition, nil
-})
+}
 
 // acquisitionBytes is the natural throughput unit for the pipeline
 // workloads: total float64 sample bytes processed per operation.
@@ -260,6 +270,49 @@ func benchLockinRender(b *testing.B) {
 		}
 		if len(acq.Traces) != len(carriers) {
 			b.Fatalf("rendered %d traces, want %d", len(acq.Traces), len(carriers))
+		}
+	}
+}
+
+// benchCompressAcquisition measures the phone's upload encode: CSV
+// formatting, chunked deflate and the zip member of a 30 s, 8-carrier
+// capture.
+func benchCompressAcquisition(b *testing.B) {
+	acq, err := acquisition30()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(acquisitionBytes(acq))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := csvio.CompressAcquisition(acq); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchDecompressAcquisition measures the cloud's unzip and CSV parse of the
+// same payload.
+func benchDecompressAcquisition(b *testing.B) {
+	acq, err := acquisition30()
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload, err := csvio.CompressAcquisition(acq)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(acquisitionBytes(acq))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := csvio.DecompressAcquisition(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Traces) != len(acq.Traces) {
+			b.Fatalf("decoded %d traces, want %d", len(got.Traces), len(acq.Traces))
 		}
 	}
 }

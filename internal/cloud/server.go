@@ -486,17 +486,13 @@ type SubmitResponse struct {
 	Report Report `json:"report"`
 }
 
-// Submission scratch pools: sustained upload throughput must not be bound
-// by per-request garbage. bodyBufPool recycles the request-body read buffer
-// (the sync path hands its bytes straight to the analysis and returns them;
-// the async path clones into the job payload, which has to outlive the
-// request anyway). decodeBufPool recycles the zip/CSV decode storage across
-// analyses — safe because Analyze copies everything it reports and retains
-// nothing from the decoded acquisition.
-var (
-	bodyBufPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	decodeBufPool = sync.Pool{New: func() any { return new(csvio.DecodeBuffer) }}
-)
+// decodeBufPool recycles the zip/CSV decode storage across analyses — safe
+// because Analyze copies everything it reports and retains nothing from the
+// decoded acquisition. The request body is not pooled: a pooled
+// payload-sized buffer stays live until the second GC after its request,
+// resident through whatever the process does next, and an unpooled one can
+// be handed to an async job without a copy.
+var decodeBufPool = sync.Pool{New: func() any { return new(csvio.DecodeBuffer) }}
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admitMutation(w) || !s.admitSubmit(w, r) {
@@ -511,9 +507,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// its 413 as soon as the limit is crossed instead of being buffered to
 	// the end first (and the server closes the connection on it).
 	r.Body = http.MaxBytesReader(w, r.Body, s.uploadLimit)
-	bodyBuf := bodyBufPool.Get().(*bytes.Buffer)
-	bodyBuf.Reset()
-	defer bodyBufPool.Put(bodyBuf)
+	var bodyBuf bytes.Buffer
 	_, err := bodyBuf.ReadFrom(r.Body)
 	body := bodyBuf.Bytes()
 	if err != nil {
@@ -537,9 +531,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch async := r.URL.Query().Get("async"); async {
 	case "", "0", "false":
 	case "1", "true":
-		// The job payload outlives this request (queued, journaled), so it
-		// cannot alias the pooled read buffer.
-		s.handleSubmitAsync(w, bytes.Clone(body), key, p)
+		s.handleSubmitAsync(w, body, key, p)
 		return
 	default:
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("bad async parameter %q", async))

@@ -4,6 +4,20 @@
 // files"), bundled into zip archives by the phone to save 4G transfer volume
 // ("MedSen implements zip data compression on the smartphone. This reduced
 // the sample size to 240MB").
+//
+// The zip member is written in chunks. The CSV rows are cut into chunks of
+// about 128 KB (the row count per chunk depends on the carrier count only,
+// so a capture encodes to the same bytes on any machine), and up to
+// GOMAXPROCS workers format and deflate them at archive/zip's level 5. Each
+// chunk is compressed by a fresh stream with no preset dictionary; every
+// chunk but the last ends in a sync flush, which byte-aligns it, and the
+// last one ends the stream. Appended in order, the chunks are one valid
+// deflate stream, so any zip reader — and DecompressAcquisition, unchanged —
+// inflates the member as usual. The member's CRC-32 is combined from the
+// chunks' CRCs. Chunking costs little ratio on a 30 s, 8-carrier capture:
+// 0.3686 of the CSV against 0.3677 for one stream. A 4 KB dictionary from
+// the previous chunk's tail would win back only 0.0004 and tie every chunk
+// to its predecessor's CSV; without one, the chunks are independent.
 package csvio
 
 import (
@@ -25,49 +39,6 @@ const MeasurementsFileName = "measurements.csv"
 // ErrBadCSV reports a malformed measurements file.
 var ErrBadCSV = errors.New("csvio: malformed measurements CSV")
 
-// EncodeAcquisition writes the acquisition as CSV: a header row of
-// "time_s,ch_<freq>Hz,..." followed by one row per sample instant.
-func EncodeAcquisition(w io.Writer, acq lockin.Acquisition) error {
-	if len(acq.Traces) == 0 {
-		return errors.New("csvio: empty acquisition")
-	}
-	n := len(acq.Traces[0].Samples)
-	rate := acq.Traces[0].Rate
-	for i, tr := range acq.Traces {
-		if len(tr.Samples) != n {
-			return fmt.Errorf("csvio: trace %d has %d samples, want %d", i, len(tr.Samples), n)
-		}
-		if tr.Rate != rate {
-			return fmt.Errorf("csvio: trace %d rate %v differs from %v", i, tr.Rate, rate)
-		}
-	}
-
-	cw := csv.NewWriter(w)
-	header := make([]string, 0, len(acq.CarriersHz)+1)
-	header = append(header, "time_s")
-	for _, f := range acq.CarriersHz {
-		header = append(header, fmt.Sprintf("ch_%dHz", int64(f)))
-	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("csvio: writing header: %w", err)
-	}
-	row := make([]string, len(header))
-	for i := 0; i < n; i++ {
-		row[0] = strconv.FormatFloat(float64(i)/rate, 'g', -1, 64)
-		for c, tr := range acq.Traces {
-			row[c+1] = strconv.FormatFloat(tr.Samples[i], 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("csvio: writing row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("csvio: flushing: %w", err)
-	}
-	return nil
-}
-
 // DecodeBuffer holds reusable sample storage for DecodeAcquisitionBuffer
 // and DecompressAcquisitionBuffer, so sustained decoding (one upload after
 // another in the cloud service) stops paying append-growth garbage for every
@@ -75,7 +46,6 @@ func EncodeAcquisition(w io.Writer, acq lockin.Acquisition) error {
 // between concurrent decodes.
 type DecodeBuffer struct {
 	samples [][]float64
-	times   []float64
 }
 
 // DecodeAcquisition parses a CSV produced by EncodeAcquisition. The sampling
@@ -112,7 +82,6 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 	}
 
 	var samples [][]float64
-	var times []float64
 	if buf != nil {
 		if cap(buf.samples) < len(carriers) {
 			buf.samples = make([][]float64, len(carriers))
@@ -121,7 +90,6 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 		for c := range samples {
 			samples[c] = samples[c][:0]
 		}
-		times = buf.times[:0]
 	} else {
 		samples = make([][]float64, len(carriers))
 	}
@@ -129,9 +97,12 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 		// Keep whatever the appends grew, even on a parse error.
 		if buf != nil {
 			buf.samples = samples
-			buf.times = times
 		}
 	}()
+	// The time column only sets the rate, (rows-1)/(t_last-t_0): every
+	// value is parsed, but only the first and the last are kept.
+	var rows int
+	var tFirst, tLast float64
 	for {
 		rec, err := cr.Read()
 		if errors.Is(err, io.EOF) {
@@ -148,7 +119,11 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 		if err != nil {
 			return lockin.Acquisition{}, fmt.Errorf("%w: bad time %q", ErrBadCSV, rec[0])
 		}
-		times = append(times, t)
+		if rows == 0 {
+			tFirst = t
+		}
+		tLast = t
+		rows++
 		for c := range carriers {
 			v, err := strconv.ParseFloat(rec[c+1], 64)
 			if err != nil {
@@ -157,10 +132,10 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 			samples[c] = append(samples[c], v)
 		}
 	}
-	if len(times) < 2 {
+	if rows < 2 {
 		return lockin.Acquisition{}, fmt.Errorf("%w: need at least 2 samples", ErrBadCSV)
 	}
-	rate := float64(len(times)-1) / (times[len(times)-1] - times[0])
+	rate := float64(rows-1) / (tLast - tFirst)
 
 	acq := lockin.Acquisition{
 		CarriersHz: carriers,
@@ -170,24 +145,6 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 		acq.Traces[c] = sigproc.Trace{Rate: rate, Samples: samples[c]}
 	}
 	return acq, nil
-}
-
-// CompressAcquisition encodes the acquisition as CSV inside a zip archive —
-// the exact payload the phone uploads.
-func CompressAcquisition(acq lockin.Acquisition) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := zip.NewWriter(&buf)
-	f, err := zw.Create(MeasurementsFileName)
-	if err != nil {
-		return nil, fmt.Errorf("csvio: creating archive member: %w", err)
-	}
-	if err := EncodeAcquisition(f, acq); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("csvio: closing archive: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // DecompressAcquisition reverses CompressAcquisition.

@@ -1,8 +1,13 @@
 package csvio
 
 import (
+	"archive/zip"
+	"bytes"
 	"strings"
 	"testing"
+
+	"medsen/internal/lockin"
+	"medsen/internal/sigproc"
 )
 
 // FuzzDecodeAcquisition hardens the CSV decoder: arbitrary text must yield
@@ -25,6 +30,62 @@ func FuzzDecodeAcquisition(f *testing.F) {
 		n := len(acq.Traces[0].Samples)
 		for _, tr := range acq.Traces {
 			if len(tr.Samples) != n {
+				t.Fatal("accepted ragged acquisition")
+			}
+		}
+	})
+}
+
+// FuzzDecompressAcquisition hardens the zip layer of the untrusted upload:
+// arbitrary bytes must yield an error or a consistent acquisition, never a
+// panic. The seeds are a real chunked payload, a truncated one and one with
+// its member CRC-32 flipped.
+func FuzzDecompressAcquisition(f *testing.F) {
+	// 64 carriers of constant samples cut into chunks of a hundred rows
+	// and deflate to about a kilobyte: a chunked payload small enough to
+	// mutate quickly.
+	acq := lockin.Acquisition{
+		CarriersHz: make([]float64, 64),
+		Traces:     make([]sigproc.Trace, 64),
+	}
+	for c := range acq.Traces {
+		acq.CarriersHz[c] = float64(500e3 + 1e3*c)
+		acq.Traces[c] = sigproc.Trace{Rate: 450, Samples: make([]float64, 250)}
+	}
+	payload, err := CompressAcquisition(acq)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if e, _ := newEncoder(acq); e.chunks < 3 {
+		f.Fatalf("seed payload has %d chunks, want a middle one", e.chunks)
+	}
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	zr, err := zip.NewReader(bytes.NewReader(payload), int64(len(payload)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := zr.File[0].DataOffset()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The data descriptor follows the member's data: signature, then CRC-32.
+	flipped := bytes.Clone(payload)
+	flipped[data+int64(zr.File[0].CompressedSize64)+4] ^= 0x01
+	f.Add(flipped)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		acq, err := DecompressAcquisition(data)
+		if err != nil {
+			return
+		}
+		if len(acq.CarriersHz) != len(acq.Traces) || len(acq.Traces) == 0 {
+			t.Fatal("accepted acquisition with mismatched carriers/traces")
+		}
+		n := len(acq.Traces[0].Samples)
+		for _, tr := range acq.Traces {
+			if len(tr.Samples) != n || tr.Rate != acq.Traces[0].Rate {
 				t.Fatal("accepted ragged acquisition")
 			}
 		}
