@@ -486,14 +486,6 @@ type SubmitResponse struct {
 	Report Report `json:"report"`
 }
 
-// decodeBufPool recycles the zip/CSV decode storage across analyses — safe
-// because Analyze copies everything it reports and retains nothing from the
-// decoded acquisition. The request body is not pooled: a pooled
-// payload-sized buffer stays live until the second GC after its request,
-// resident through whatever the process does next, and an unpooled one can
-// be handed to an async job without a copy.
-var decodeBufPool = sync.Pool{New: func() any { return new(csvio.DecodeBuffer) }}
-
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admitMutation(w) || !s.admitSubmit(w, r) {
 		return
@@ -507,6 +499,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// its 413 as soon as the limit is crossed instead of being buffered to
 	// the end first (and the server closes the connection on it).
 	r.Body = http.MaxBytesReader(w, r.Body, s.uploadLimit)
+	// A fresh buffer, not a pooled one: a pooled payload-sized buffer stays
+	// resident until the second GC after its request, and a fresh one can
+	// be handed to an async job without a copy (DESIGN.md §6, rule 5).
 	var bodyBuf bytes.Buffer
 	_, err := bodyBuf.ReadFrom(r.Body)
 	body := bodyBuf.Bytes()
@@ -624,11 +619,7 @@ func (s *Service) runAnalysis(payload []byte) (report Report, code string, err e
 			report, code, err = Report{}, CodeInternal, fmt.Errorf("analysis panicked: %v", r)
 		}
 	}()
-	// The decode buffer is recycled once the analysis is done: the report
-	// carries copies of everything it needs, never the raw samples.
-	buf := decodeBufPool.Get().(*csvio.DecodeBuffer)
-	defer decodeBufPool.Put(buf)
-	acq, err := csvio.DecompressAcquisitionBuffer(payload, buf)
+	acq, err := csvio.DecompressAcquisition(payload)
 	if err != nil {
 		return Report{}, CodeInvalidRequest, err
 	}

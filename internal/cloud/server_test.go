@@ -1,6 +1,8 @@
 package cloud
 
 import (
+	"archive/zip"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"medsen/internal/beads"
+	"medsen/internal/csvio"
 	"medsen/internal/drbg"
 	"medsen/internal/faultinject"
 	"medsen/internal/microfluidic"
@@ -93,6 +96,61 @@ func TestSubmitRejectsGarbage(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// csvPayload zips csv as the measurements member of an upload.
+func csvPayload(t *testing.T, csv string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	f, err := zw.Create(csvio.MeasurementsFileName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(csv)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A time column that gives no finite, positive sample rate is the client's
+// fault: the upload is a 400 and stores nothing, in memory or on disk.
+func TestSubmitRejectsCaptureWithoutSampleRate(t *testing.T) {
+	times := map[string][2]string{
+		"NaN first time":       {"NaN", "0.1"},
+		"equal endpoints":      {"0.1", "0.1"},
+		"decreasing endpoints": {"0.2", "0.1"},
+	}
+	for _, stateDir := range []string{"", t.TempDir()} {
+		svc, err := NewService(ServiceConfig{StateDir: stateDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(svc.Handler())
+		for name, tt := range times {
+			csv := "time_s,ch_500000Hz\n" + tt[0] + ",1\n" + tt[1] + ",1\n"
+			resp, err := http.Post(ts.URL+"/api/v1/analyses", "application/zip",
+				bytes.NewReader(csvPayload(t, csv)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env errorEnvelope
+			decodeErr := json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || decodeErr != nil || env.Error.Code != CodeInvalidRequest {
+				t.Errorf("store %v, %s: status %d, code %q (%v), want 400 %s",
+					stateDir != "", name, resp.StatusCode, env.Error.Code, decodeErr, CodeInvalidRequest)
+			}
+			if n := svc.Snapshot().StoredAnalyses; n != 0 {
+				t.Errorf("store %v, %s: %d stored analyses, want 0", stateDir != "", name, n)
+			}
+		}
+		ts.Close()
+		svc.Close()
 	}
 }
 

@@ -12,25 +12,46 @@
 // chunk is compressed by a fresh stream with no preset dictionary; every
 // chunk but the last ends in a sync flush, which byte-aligns it, and the
 // last one ends the stream. Appended in order, the chunks are one valid
-// deflate stream, so any zip reader — and DecompressAcquisition, unchanged —
+// deflate stream, so any zip reader, DecompressAcquisition's included,
 // inflates the member as usual. The member's CRC-32 is combined from the
 // chunks' CRCs. Chunking costs little ratio on a 30 s, 8-carrier capture:
 // 0.3686 of the CSV against 0.3677 for one stream. A 4 KB dictionary from
 // the previous chunk's tail would win back only 0.0004 and tie every chunk
 // to its predecessor's CSV; without one, the chunks are independent.
+//
+// Decoding runs in two stages. A goroutine reads the source — the zip
+// member's reader, which inflates and checks the CRC-32 at its end, or the
+// caller's io.Reader — into 64 KB blocks, a few of them allocated per call
+// and cycled between the stages. The caller's goroutine cuts the blocks into
+// lines, carrying a line that straddles two blocks, and parses each field
+// with strconv.ParseFloat straight into the sample storage, with no
+// allocation per row or field. Inflate and parse overlap on two cores; at
+// GOMAXPROCS 1 the same two goroutines take turns. An acquisition is
+// returned only after the source has ended cleanly, so a damaged member
+// still fails. A panic in the source becomes the decode's error, and the
+// reading goroutine has returned before the decode does, on success and on
+// every error.
+//
+// The decoder accepts what the encoding/csv decoder it replaced accepted,
+// apart from the rate rule below. The header record is parsed by
+// encoding/csv itself: its first column is "time_s" and each other one
+// starts "ch_<freq>Hz". Each later line is one row with one float field per
+// column; lines end in "\n" or "\r\n", empty lines are skipped, the last
+// line may lack its line end, and a field may sit in one pair of double
+// quotes. The sample rate is (rows-1)/(t_last-t_first) from the time
+// column, and a capture whose rate is not finite and positive (a NaN or
+// infinite end time, equal end times or decreasing ones) is rejected with
+// ErrBadCSV.
 package csvio
 
 import (
 	"archive/zip"
 	"bytes"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 
 	"medsen/internal/lockin"
-	"medsen/internal/sigproc"
 )
 
 // MeasurementsFileName is the archive member holding the CSV payload.
@@ -49,7 +70,10 @@ type DecodeBuffer struct {
 }
 
 // DecodeAcquisition parses a CSV produced by EncodeAcquisition. The sampling
-// rate is recovered from the time column.
+// rate is recovered from the time column. r is read on a goroutine of the
+// decode's own, which may read ahead of the parse by a few blocks; when a
+// parse error stops the decode, it returns once that goroutine's read in
+// progress does.
 func DecodeAcquisition(r io.Reader) (lockin.Acquisition, error) {
 	return decodeAcquisition(r, nil)
 }
@@ -60,91 +84,6 @@ func DecodeAcquisition(r io.Reader) (lockin.Acquisition, error) {
 // buffer (e.g. through a sync.Pool) must be done with the acquisition first.
 func DecodeAcquisitionBuffer(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, error) {
 	return decodeAcquisition(r, buf)
-}
-
-func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return lockin.Acquisition{}, fmt.Errorf("%w: missing header: %v", ErrBadCSV, err)
-	}
-	if len(header) < 2 || header[0] != "time_s" {
-		return lockin.Acquisition{}, fmt.Errorf("%w: bad header %q", ErrBadCSV, header)
-	}
-	carriers := make([]float64, 0, len(header)-1)
-	for _, col := range header[1:] {
-		var hz int64
-		if _, err := fmt.Sscanf(col, "ch_%dHz", &hz); err != nil {
-			return lockin.Acquisition{}, fmt.Errorf("%w: bad channel column %q", ErrBadCSV, col)
-		}
-		carriers = append(carriers, float64(hz))
-	}
-
-	var samples [][]float64
-	if buf != nil {
-		if cap(buf.samples) < len(carriers) {
-			buf.samples = make([][]float64, len(carriers))
-		}
-		samples = buf.samples[:len(carriers)]
-		for c := range samples {
-			samples[c] = samples[c][:0]
-		}
-	} else {
-		samples = make([][]float64, len(carriers))
-	}
-	defer func() {
-		// Keep whatever the appends grew, even on a parse error.
-		if buf != nil {
-			buf.samples = samples
-		}
-	}()
-	// The time column only sets the rate, (rows-1)/(t_last-t_0): every
-	// value is parsed, but only the first and the last are kept.
-	var rows int
-	var tFirst, tLast float64
-	for {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return lockin.Acquisition{}, fmt.Errorf("%w: %v", ErrBadCSV, err)
-		}
-		if len(rec) != len(carriers)+1 {
-			return lockin.Acquisition{}, fmt.Errorf("%w: row has %d fields, want %d",
-				ErrBadCSV, len(rec), len(carriers)+1)
-		}
-		t, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return lockin.Acquisition{}, fmt.Errorf("%w: bad time %q", ErrBadCSV, rec[0])
-		}
-		if rows == 0 {
-			tFirst = t
-		}
-		tLast = t
-		rows++
-		for c := range carriers {
-			v, err := strconv.ParseFloat(rec[c+1], 64)
-			if err != nil {
-				return lockin.Acquisition{}, fmt.Errorf("%w: bad value %q", ErrBadCSV, rec[c+1])
-			}
-			samples[c] = append(samples[c], v)
-		}
-	}
-	if rows < 2 {
-		return lockin.Acquisition{}, fmt.Errorf("%w: need at least 2 samples", ErrBadCSV)
-	}
-	rate := float64(rows-1) / (tLast - tFirst)
-
-	acq := lockin.Acquisition{
-		CarriersHz: carriers,
-		Traces:     make([]sigproc.Trace, len(carriers)),
-	}
-	for c := range carriers {
-		acq.Traces[c] = sigproc.Trace{Rate: rate, Samples: samples[c]}
-	}
-	return acq, nil
 }
 
 // DecompressAcquisition reverses CompressAcquisition.

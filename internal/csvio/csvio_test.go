@@ -87,6 +87,13 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"bad time", "time_s,ch_500000Hz\nx,1\n0.1,1\n"},
 		{"bad value", "time_s,ch_500000Hz\n0,x\n0.1,1\n"},
 		{"ragged row", "time_s,ch_500000Hz\n0,1,9\n"},
+		{"NaN first time", "time_s,ch_500000Hz\nNaN,1\n0.1,1\n"},
+		{"NaN last time", "time_s,ch_500000Hz\n0,1\nNaN,1\n"},
+		{"+Inf last time", "time_s,ch_500000Hz\n0,1\n+Inf,1\n"},
+		{"+Inf first time", "time_s,ch_500000Hz\n+Inf,1\n0.1,1\n"},
+		{"-Inf first time", "time_s,ch_500000Hz\n-Inf,1\n0.1,1\n"},
+		{"equal endpoints", "time_s,ch_500000Hz\n0.1,1\n0.2,1\n0.1,1\n"},
+		{"decreasing endpoints", "time_s,ch_500000Hz\n0.2,1\n0.1,1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

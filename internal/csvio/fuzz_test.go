@@ -11,16 +11,31 @@ import (
 )
 
 // FuzzDecodeAcquisition hardens the CSV decoder: arbitrary text must yield
-// an error or a structurally consistent acquisition, never a panic.
+// an error or a structurally consistent acquisition, never a panic. It is
+// also differential against the encoding/csv reference: the decoder accepts
+// only what the reference accepts, with bitwise-equal carriers, rate and
+// samples, and rejects what the reference accepts only for the rate rule.
 func FuzzDecodeAcquisition(f *testing.F) {
 	f.Add("time_s,ch_500000Hz\n0,1\n0.002,0.99\n")
 	f.Add("time_s,ch_500000Hz,ch_2000000Hz\n0,1,1\n0.002,1,1\n0.004,0.9,0.95\n")
 	f.Add("")
 	f.Add("garbage")
 	f.Add("time_s,chX\n0,1\n")
+	f.Add(`"time_s","ch_500000Hz"` + "\n\"0\",1\n0.002,\"0.99\"\n")
+	f.Add("time_s,\"ch_500000Hz\"\"x\"\n0,1\n0.002,0.99\n")
+	f.Add("time_s,\"ch_500000Hz\n,\"\n0,1\n0.002,0.99\n")
+	f.Add("time_s,ch_500000Hz\r\n0,1\r\n0.002,0.99\r\n")
+	f.Add("\n\r\ntime_s,ch_500000Hz\n\n0,1\n\r\n\n0.002,0.99\n\n")
+	f.Add("time_s,ch_500000Hz\n0,1\n0.002,0.99")
+	f.Add("time_s,ch_500000Hz\n0,1\n0.002,0.99\r")
+	f.Add("time_s,ch_500000Hz\nNaN,1\n0.002,0.99\n")
+	f.Add("time_s,ch_500000Hz\n0.002,1\n0.002,0.99\n")
+	f.Add(string(straddlingCSV(f, 2, 5*blockBytes/(2*fieldBytes*3))))
 
 	f.Fuzz(func(t *testing.T, csv string) {
 		acq, err := DecodeAcquisition(strings.NewReader(csv))
+		want, refErr := referenceDecode(strings.NewReader(csv))
+		checkDifferential(t, acq, err, want, refErr)
 		if err != nil {
 			return
 		}
@@ -77,6 +92,8 @@ func FuzzDecompressAcquisition(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		acq, err := DecompressAcquisition(data)
+		want, refErr := referenceDecompress(data)
+		checkDifferential(t, acq, err, want, refErr)
 		if err != nil {
 			return
 		}
