@@ -5,7 +5,7 @@
 //
 // It doubles as the performance-regression harness: -json runs the
 // hot-path benchmark suite (internal/benchharness) and writes the
-// machine-readable BENCH_14.json format, and -compare gates a run against a
+// machine-readable BENCH_15.json format, and -compare gates a run against a
 // committed baseline, exiting non-zero on any regression beyond the
 // thresholds.
 //
@@ -16,8 +16,8 @@
 //	medsen-bench -fig 12         # one figure
 //	medsen-bench -exp e2e        # one in-text experiment
 //	medsen-bench -exp ablations  # the ablation suite
-//	medsen-bench -json BENCH_14.json           # record a perf baseline
-//	medsen-bench -compare BENCH_14.json        # rerun and gate against it
+//	medsen-bench -json BENCH_15.json           # record a perf baseline
+//	medsen-bench -compare BENCH_15.json        # rerun and gate against it
 //	medsen-bench -compare BASE -current CUR    # pure file-vs-file gate
 package main
 

@@ -2,7 +2,7 @@
 // programmatically (via testing.Benchmark) and records machine-readable
 // results — ns/op, allocs/op, B/op per benchmark — so performance
 // regressions are caught by comparing a fresh run against a committed
-// baseline (BENCH_14.json) instead of eyeballing `go test -bench` output.
+// baseline (BENCH_15.json) instead of eyeballing `go test -bench` output.
 //
 // The harness is what `medsen-bench -json` and `medsen-bench -compare`
 // drive; CI gates allocs/op on it (blocking) and runs the full compare as a
@@ -112,7 +112,7 @@ func setBenchTime(d time.Duration) (restore func(), err error) {
 	return func() { _ = f.Value.Set(old) }, nil
 }
 
-// WriteJSON emits the suite as indented JSON (the BENCH_14.json format).
+// WriteJSON emits the suite as indented JSON (the BENCH_15.json format).
 func (s Suite) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -3,6 +3,9 @@ package cloud
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -284,8 +287,22 @@ func (c *Client) SubmitBatch(ctx context.Context, items []BatchSubmission) (Batc
 	// request retry-safe to the retry policy, which is exactly right: a
 	// retried batch resolves each item against the dedup index.
 	var out BatchResponse
-	err = c.do(ctx, http.MethodPost, "/api/v1/analyses:batch", body, "application/json", CaptureKey(body), &out, nil)
+	err = c.do(ctx, http.MethodPost, "/api/v1/analyses:batch", body, "application/json", batchRequestKey(req.Items), &out, nil)
 	return out, err
+}
+
+// batchRequestKey derives a batch's request-level Idempotency-Key from its
+// item keys: SHA-256 over the keys, each prefixed with its length. A retried
+// batch carries the same value without hashing the whole payload-sized body.
+func batchRequestKey(items []BatchItem) string {
+	h := sha256.New()
+	var n [8]byte
+	for _, it := range items {
+		binary.BigEndian.PutUint64(n[:], uint64(len(it.IdempotencyKey)))
+		h.Write(n[:])
+		io.WriteString(h, it.IdempotencyKey)
+	}
+	return "batch:sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
 // SubmitAcquisition compresses and uploads a capture (idempotently, keyed by

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -410,6 +411,9 @@ func TestFrontendRestartWithLiveLease(t *testing.T) {
 	t.Run("expired lease re-enqueues", func(t *testing.T) {
 		dir := t.TempDir()
 		svc, ts, client := newLeaseServer(t, ServiceConfig{StateDir: dir, LeaseTTL: 50 * time.Millisecond})
+		// The first frontend's clock stands still, so its own reaper never
+		// sees the lease lapse: only startup reconciliation may reclaim it.
+		pinClock(svc)
 		_, payload := testCapture(t, 505, 10)
 		job, err := client.SubmitCompressedAsync(ctx, payload)
 		if err != nil {
@@ -431,8 +435,9 @@ func TestFrontendRestartWithLiveLease(t *testing.T) {
 		if got.Status != JobQueued || got.WorkerID != "" {
 			t.Fatalf("reconciled job = %+v, want cleanly re-enqueued", got)
 		}
-		if len(got.History) != 1 || got.History[0].Outcome != "reclaimed" || got.History[0].Worker != "dead" {
-			t.Fatalf("history = %+v, want the dead worker's reclaimed attempt", got.History)
+		if len(got.History) != 1 || got.History[0].Outcome != "reclaimed" || got.History[0].Worker != "dead" ||
+			!strings.Contains(got.History[0].Detail, "across a frontend restart") {
+			t.Fatalf("history = %+v, want the dead worker's attempt reclaimed across a frontend restart", got.History)
 		}
 		if m := svc2.Snapshot(); m.LeaseExpirations != 1 || m.JobsReclaimed != 1 {
 			t.Fatalf("reconcile metrics = expirations %d reclaimed %d, want 1/1", m.LeaseExpirations, m.JobsReclaimed)
